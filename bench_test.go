@@ -14,6 +14,7 @@ package swtnas_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"net"
@@ -22,11 +23,14 @@ import (
 	"sync"
 	"testing"
 
+	"swtnas/internal/apps"
 	"swtnas/internal/checkpoint"
 	"swtnas/internal/cluster"
 	"swtnas/internal/core"
 	"swtnas/internal/data"
+	"swtnas/internal/evo"
 	"swtnas/internal/experiments"
+	"swtnas/internal/nas"
 	"swtnas/internal/nn"
 	"swtnas/internal/oneshot"
 	"swtnas/internal/parallel"
@@ -607,8 +611,16 @@ func BenchmarkAblationCheckpointEncodings(b *testing.B) {
 // BenchmarkDistributedTCP runs a miniature search over real net/rpc workers
 // (the Figure 6 architecture), measuring end-to-end distributed throughput.
 func BenchmarkDistributedTCP(b *testing.B) {
+	app, err := apps.New("nt3", 1, apps.Config{Data: data.Config{TrainN: 32, ValN: 16}})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
 		c := cluster.NewCoordinator()
+		exec, err := cluster.NewExecutor(c)
+		if err != nil {
+			b.Fatal(err)
+		}
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
@@ -619,9 +631,14 @@ func BenchmarkDistributedTCP(b *testing.B) {
 			worker := &cluster.Worker{ID: fmt.Sprintf("w%d", w)}
 			go func() { done <- worker.Run(l.Addr().String()) }()
 		}
-		tr, err := cluster.RunDistributed(c, cluster.DistConfig{
-			App: "nt3", DataSeed: 1, TrainN: 32, ValN: 16,
-			Matcher: "LCS", Budget: 6, Outstanding: 2, Seed: 1, N: 2, S: 2,
+		tr, err := nas.Run(context.Background(), nas.Config{
+			App:      app,
+			Strategy: evo.NewRegularizedEvolution(app.Space, 2, 2),
+			Matcher:  core.LCS{},
+			Workers:  2,
+			Budget:   6,
+			Seed:     1,
+			Executor: exec,
 		})
 		if err != nil {
 			b.Fatal(err)

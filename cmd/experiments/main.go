@@ -16,7 +16,7 @@
 // trained metrics, per app. dtype is the float32 rank-fidelity study
 // behind -dtype f32: the same search per dtype, Kendall's tau between the
 // paired f32/f64 candidate scores plus the final-best delta. dist reruns the
-// searches over real TCP workers via cluster.RunDistributed and reports
+// searches over real TCP workers (nas.Run with a cluster.Executor) and reports
 // per-scheme summaries with kernel-level obs metric deltas; -workers sets
 // its evaluator count. sim is the calibrated fleet scale study: a cost model
 // fitted from a real run's metrics drives the discrete-event simulator from

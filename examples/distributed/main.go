@@ -1,25 +1,36 @@
 // Distributed: run the scheduler/evaluator split over real TCP, the
 // architecture of the paper's Figure 6 with net/rpc workers standing in for
-// Ray evaluators. The coordinator proposes candidates with regularized
-// evolution; workers (here: three goroutines, but the same binary runs on
-// other hosts via cmd/swtnas-worker) train them and stream checkpoints
-// back; providers' checkpoints ride along inside child tasks.
+// Ray evaluators. The search is the ordinary nas.Run loop (regularized
+// evolution, journaling, checkpoint store); a cluster.Executor ships its
+// candidates to the workers (here: three goroutines, but the same binary runs
+// on other hosts via cmd/swtnas-worker), which train them and stream
+// checkpoints back into the search's store. Each provider's checkpoint rides
+// along inside its children's tasks.
 //
 //	go run ./examples/distributed
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
 
+	"swtnas/internal/apps"
 	"swtnas/internal/cluster"
+	"swtnas/internal/core"
+	"swtnas/internal/evo"
+	"swtnas/internal/nas"
 )
 
 func main() {
 	log.SetFlags(0)
 
 	coordinator := cluster.NewCoordinator()
+	exec, err := cluster.NewExecutor(coordinator)
+	if err != nil {
+		log.Fatal(err)
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -35,25 +46,26 @@ func main() {
 	}
 	fmt.Printf("%d workers connected\n\n", workers)
 
-	tr, err := cluster.RunDistributed(coordinator, cluster.DistConfig{
-		App:         "mnist",
-		DataSeed:    1,
-		Matcher:     "LCS",
-		Budget:      24,
-		Outstanding: workers,
-		Seed:        3,
-		N:           8,
-		S:           4,
+	app, err := apps.New("mnist", 1, apps.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	tr, err := nas.Run(context.Background(), nas.Config{
+		App:      app,
+		Strategy: evo.NewRegularizedEvolution(app.Space, 8, 4),
+		Matcher:  core.LCS{},
+		Workers:  workers,
+		Budget:   24,
+		Seed:     3,
+		Executor: exec,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	workersSeen := map[int]bool{}
 	best := 0.0
 	transferred := 0
 	for _, r := range tr.Records {
-		workersSeen[r.ParentID] = true
 		if r.Score > best {
 			best = r.Score
 		}

@@ -152,6 +152,9 @@ type SearchHandle struct {
 	done   chan struct{}
 	res    *Result
 	err    error
+
+	// client is the search's shared-pool registration, nil off a pool.
+	client *nas.PoolClient
 }
 
 // New validates the options and returns an idle search handle; nothing runs
@@ -201,6 +204,7 @@ func (s *SearchHandle) Start(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	s.mu.Lock()
 	s.cancel = cancel
+	s.client = client
 	s.mu.Unlock()
 	go s.run(ctx, client)
 	return nil
@@ -341,7 +345,12 @@ func (s *SearchHandle) emitFault(ev nas.FaultEvent) {
 }
 
 // finish records the outcome, closes the event stream and releases waiters.
+// The pool slot is freed first, so whoever sees the search end can register
+// the next one against the pool's quotas at once.
 func (s *SearchHandle) finish(res *Result, err error) {
+	if s.client != nil {
+		s.client.Close()
+	}
 	s.mu.Lock()
 	s.res, s.err = res, err
 	s.closed = true
@@ -351,12 +360,9 @@ func (s *SearchHandle) finish(res *Result, err error) {
 }
 
 // run executes the search to completion. It owns every per-run resource:
-// the application, the checkpoint store, the journal, and (when on a shared
-// pool) the pool registration.
+// the application, the checkpoint store and the journal; finish releases
+// the pool registration.
 func (s *SearchHandle) run(ctx context.Context, client *nas.PoolClient) {
-	if client != nil {
-		defer client.Close()
-	}
 	opt := s.opt
 	matcher, _ := core.MatcherByName(opt.Scheme) // Validate checked it
 	dtype, _ := tensor.ParseDType(opt.DType)     // Validate checked it

@@ -20,6 +20,10 @@ type App struct {
 	Space *search.Space
 	// Dataset holds the train/validation splits.
 	Dataset *data.Dataset
+	// Seed and Data are the dataset seed and sizes New built Dataset from;
+	// a remote worker passes them to New to regenerate the same dataset.
+	Seed int64
+	Data data.Config
 	// PartialEpochs is the candidate-estimation budget (paper: 1 epoch).
 	PartialEpochs int
 	// FullMaxEpochs caps full training (paper: 20 epochs).
@@ -44,6 +48,8 @@ func New(name string, seed int64, cfg Config) (*App, error) {
 	app := &App{
 		Name:              name,
 		Dataset:           ds,
+		Seed:              seed,
+		Data:              cfg.Data,
 		PartialEpochs:     1,
 		FullMaxEpochs:     20,
 		EarlyStopPatience: 2,

@@ -282,6 +282,10 @@ func decodeV3(br io.Reader) (*Model, error) {
 	return m, nil
 }
 
+// decodeChunk is the largest tensor buffer readBody allocates before the
+// stream has supplied the data to fill it.
+const decodeChunk = 1 << 16
+
 func readBody(r io.Reader, f32 bool) (*Model, error) {
 	m := &Model{}
 	var err error
@@ -327,22 +331,25 @@ func readBody(r io.Reader, f32 bool) (*Model, error) {
 			if n < 0 || n > maxElems {
 				return nil, fmt.Errorf("checkpoint: implausible tensor size %d", n)
 			}
-			t.Data = make([]float64, n)
-			if f32 {
-				var b32 uint32
-				for i := range t.Data {
+			// The buffer grows with the data actually read, so a stream that
+			// declares a huge tensor but is short allocates only what it
+			// carries, not the declared size.
+			t.Data = make([]float64, 0, min(n, decodeChunk))
+			for len(t.Data) < n {
+				var v float64
+				if f32 {
+					var b32 uint32
 					if err := binary.Read(r, binary.LittleEndian, &b32); err != nil {
 						return nil, err
 					}
-					t.Data[i] = float64(math.Float32frombits(b32))
-				}
-			} else {
-				for i := range t.Data {
+					v = float64(math.Float32frombits(b32))
+				} else {
 					if err := binary.Read(r, binary.LittleEndian, &bits); err != nil {
 						return nil, err
 					}
-					t.Data[i] = math.Float64frombits(bits)
+					v = math.Float64frombits(bits)
 				}
+				t.Data = append(t.Data, v)
 			}
 			g.Tensors = append(g.Tensors, t)
 		}

@@ -1,11 +1,17 @@
+// Package cluster runs candidate evaluations on TCP-distributed workers over
+// net/rpc, the stand-in for DeepHyper's multi-node Ray/MPI/Balsam backends
+// (the paper's Figure 6 scheduler/evaluator split). A Coordinator queues
+// tasks and hardens their execution against worker failure (heartbeats,
+// quarantine, requeue with backoff, speculative re-execution); Workers
+// evaluate them with the in-process nas.Evaluator; and an Executor plugs the
+// coordinator into nas.Run, so a distributed search is the same search loop
+// as a local one.
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/rpc"
 	"sync"
@@ -16,9 +22,7 @@ import (
 	"swtnas/internal/core"
 	"swtnas/internal/data"
 	"swtnas/internal/nas"
-	"swtnas/internal/nn"
 	"swtnas/internal/obs"
-	"swtnas/internal/parallel"
 	"swtnas/internal/sim"
 	"swtnas/internal/tensor"
 )
@@ -40,6 +44,7 @@ var (
 	mTasksRequeued    = obs.GetCounter("cluster.tasks.requeued")
 	mTasksFailed      = obs.GetCounter("cluster.tasks.failed")
 	mResultsDuplicate = obs.GetCounter("cluster.results.duplicate")
+	mResultsRejected  = obs.GetCounter("cluster.results.rejected")
 	mQuarantined      = obs.GetCounter("cluster.workers.quarantined")
 	mReadmitted       = obs.GetCounter("cluster.workers.readmitted")
 	mInflightGauge    = obs.GetGauge("cluster.tasks.inflight")
@@ -89,7 +94,7 @@ func call(client *rpc.Client, method string, args, reply any) error {
 // self-contained: the worker regenerates the (deterministic) dataset from
 // App/DataSeed and receives the provider checkpoint inline, so workers need
 // no shared file system — the role the paper's parallel FS plays is taken by
-// the coordinator's store.
+// the search's checkpoint store on the coordinator side.
 type RPCTask struct {
 	// Shutdown tells the worker to exit its task loop.
 	Shutdown bool
@@ -97,31 +102,25 @@ type RPCTask struct {
 	ID int
 	// App names the application; DataSeed / TrainN / ValN reproduce its
 	// dataset on the worker.
-	App           string
-	DataSeed      int64
-	TrainN, ValN  int
-	Arch          []int
-	Seed          int64
-	Matcher       string // "", "LP", "LCS"
-	Parent        []byte // encoded provider checkpoint, nil for scratch
-	PartialEpochs int
-	BatchSizeHint int // 0 -> space default
+	App          string
+	DataSeed     int64
+	TrainN, ValN int
+	Arch         []int
+	Seed         int64
+	Matcher      string // "", "LP", "LCS"
+	// ParentID and Parent are the provider candidate and its encoded
+	// checkpoint; Parent is nil for training from scratch.
+	ParentID int
+	Parent   []byte
 	// DType selects the worker-side training element type ("", "f64" or
-	// "f32", the tensor.ParseDType spellings). Candidates build and
-	// weight-transfer in float64 on the worker exactly like the in-process
-	// evaluator, then train natively in the requested dtype; the returned
-	// checkpoint is dtype-tagged (SWTC v3 for f32).
+	// "f32", the tensor.ParseDType spellings); the worker's nas.Evaluator
+	// builds and weight-transfers in float64, then trains natively in it.
 	DType string
 	// DeadlineMillis, when positive, bounds the worker-side evaluation: the
 	// worker trains under a context with this timeout and reports a task
 	// error when it expires (the coordinator then retries or fails the
-	// candidate). Mirrors FaultConfig.TaskDeadline on the worker side.
+	// candidate). The Executor sets it from FaultConfig.TaskDeadline.
 	DeadlineMillis int64
-	// KernelWorkers, when positive, sets the worker's kernel-pool width for
-	// this task (the per-evaluator share of a node's core budget, mirroring
-	// the in-process evaluator×kernel split). 0 leaves the worker's pool
-	// untouched; a Worker with its own KernelWorkers pin ignores it.
-	KernelWorkers int
 }
 
 // RPCResult returns a scored candidate to the coordinator.
@@ -132,8 +131,11 @@ type RPCResult struct {
 	Params      int
 	Copied      int
 	TrainMillis float64
-	Checkpoint  []byte
-	Err         string
+	// EvalMillis is the worker's end-to-end evaluation time (build,
+	// transfer, training and checkpointing).
+	EvalMillis float64
+	Checkpoint []byte
+	Err        string
 	// Failed marks a terminal failure emitted by the coordinator after the
 	// task exhausted its retry budget; plain worker errors (Err set,
 	// Failed false) are retried internally and never reach Results.
@@ -269,6 +271,10 @@ type Coordinator struct {
 
 	results chan RPCResult
 
+	// exec is the Executor serving this coordinator's one search; it
+	// validates each returned checkpoint before the result is accepted.
+	exec *Executor
+
 	// pending buffers fault events recorded under mu; emitMu serializes
 	// their delivery to cfg.OnEvent so observers see decision order even
 	// when RPC goroutines and the failure detector flush concurrently.
@@ -347,6 +353,15 @@ func (c *Coordinator) Shutdown() {
 	}
 	c.mu.Unlock()
 	c.cond.Broadcast()
+}
+
+// forget drops a task its search no longer waits for: queued copies are
+// scrubbed, and a running copy's late result is discarded as a duplicate.
+func (c *Coordinator) forget(id int) {
+	c.mu.Lock()
+	c.done[id] = true
+	c.scrubLocked(id)
+	c.mu.Unlock()
 }
 
 // beatLocked records worker liveness, re-admitting it from quarantine.
@@ -558,6 +573,17 @@ func (s *Service) Heartbeat(workerID string, ack *bool) error {
 func (s *Service) Submit(res RPCResult, ack *bool) error {
 	c := s.c
 	*ack = true
+	c.mu.Lock()
+	x := c.exec
+	c.mu.Unlock()
+	if x != nil && res.Err == "" {
+		// Network bytes enter the search's store here: a checkpoint that
+		// does not match its task is a task error, retried like any other.
+		if err := x.check(res); err != nil {
+			mResultsRejected.Inc()
+			res.Err, res.Checkpoint = err.Error(), nil
+		}
+	}
 	var terminal *RPCResult
 	c.mu.Lock()
 	c.beatLocked(res.WorkerID)
@@ -677,16 +703,13 @@ var (
 	ErrDropResult = errors.New("cluster: injected result drop")
 )
 
-// Worker executes tasks fetched from a coordinator. It caches one
-// application per configuration so repeated tasks do not regenerate data.
+// Worker executes tasks fetched from a coordinator with the same
+// nas.Evaluator an in-process search uses. It caches the evaluator of the
+// last task's app, matcher and dtype, so repeated tasks neither regenerate
+// the dataset nor convert it to float32 again.
 type Worker struct {
 	// ID labels the worker in results.
 	ID string
-
-	// KernelWorkers, when positive, pins this worker's kernel-pool width
-	// for every task, overriding any RPCTask.KernelWorkers the coordinator
-	// ships (an operator-set SWTNAS_WORKERS equivalent).
-	KernelWorkers int
 
 	// DType, when non-empty, is the training element type applied to tasks
 	// that ship no RPCTask.DType (a coordinator predating the dtype field).
@@ -704,113 +727,63 @@ type Worker struct {
 	// Submit. Any other error aborts Run with it. Fault-injection only.
 	ExecuteHook func(RPCTask) (RPCResult, error)
 
-	// Dial, when set, replaces the default TCP dial — faultinject wraps the
-	// returned conn to corrupt or delay traffic deterministically.
-	Dial func(addr string) (net.Conn, error)
-
-	appMu  sync.Mutex
-	appKey string
-	app    *apps.App
-	// f32Train/f32Val cache the float32 copy of the current app's dataset
-	// (converted once per app, reused across f32 tasks; reset with the app).
-	f32Train *nn.DataOf[float32]
-	f32Val   *nn.DataOf[float32]
+	mu      sync.Mutex
+	evalKey string
+	eval    *nas.Evaluator
 }
 
-// kernelWorkersFor resolves the kernel-pool width for one task: the
-// worker's own pin wins, then the task's coordinator-assigned share, then 0
-// (leave the pool as-is).
-func (w *Worker) kernelWorkersFor(t RPCTask) int {
-	if w.KernelWorkers > 0 {
-		return w.KernelWorkers
+// evaluatorFor returns the evaluator for a task's app, dataset, matcher and
+// dtype, building it when the task differs from the previous one.
+func (w *Worker) evaluatorFor(t RPCTask) (*nas.Evaluator, error) {
+	spec := t.DType
+	if spec == "" {
+		spec = w.DType
 	}
-	return t.KernelWorkers
-}
-
-// appFor returns (building if needed) the application a task needs.
-func (w *Worker) appFor(t RPCTask) (*apps.App, error) {
-	key := fmt.Sprintf("%s/%d/%d/%d", t.App, t.DataSeed, t.TrainN, t.ValN)
-	w.appMu.Lock()
-	defer w.appMu.Unlock()
-	if w.appKey == key {
-		return w.app, nil
-	}
-	app, err := apps.New(t.App, t.DataSeed, apps.Config{Data: data.Config{TrainN: t.TrainN, ValN: t.ValN}})
+	dt, err := tensor.ParseDType(spec)
 	if err != nil {
 		return nil, err
 	}
-	w.appKey, w.app = key, app
-	w.f32Train, w.f32Val = nil, nil
-	return app, nil
-}
-
-// f32Dataset returns (converting and caching on first use) the float32 copy
-// of the worker's current app dataset.
-func (w *Worker) f32Dataset(app *apps.App) (*nn.DataOf[float32], *nn.DataOf[float32]) {
-	w.appMu.Lock()
-	defer w.appMu.Unlock()
-	if w.f32Train == nil {
-		w.f32Train = nn.ConvertData[float32](app.Dataset.Train)
-		w.f32Val = nn.ConvertData[float32](app.Dataset.Val)
+	m, ok := core.MatcherByName(t.Matcher)
+	if !ok {
+		return nil, fmt.Errorf("cluster: unknown matcher %q", t.Matcher)
 	}
-	return w.f32Train, w.f32Val
+	key := fmt.Sprintf("%s/%d/%d/%d/%s/%s", t.App, t.DataSeed, t.TrainN, t.ValN, t.Matcher, dt)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.evalKey != key {
+		app, err := apps.New(t.App, t.DataSeed, apps.Config{Data: data.Config{TrainN: t.TrainN, ValN: t.ValN}})
+		if err != nil {
+			return nil, err
+		}
+		w.evalKey, w.eval = key, &nas.Evaluator{App: app, Matcher: m, DType: dt}
+	}
+	return w.eval, nil
 }
 
 // Execute runs one task locally (exported for tests and for embedding the
-// worker in-process).
+// worker in-process). The provider goes into, and the candidate's checkpoint
+// comes out of, a store that lives for this task only.
 func (w *Worker) Execute(t RPCTask) RPCResult {
 	defer mExecSeconds.Start().Stop()
-	if k := w.kernelWorkersFor(t); k > 0 {
-		// Scoped like the in-process auto-split: set for this evaluation,
-		// restore after, so an operator's process-wide setting survives.
-		prev := parallel.SetWorkers(k)
-		defer parallel.SetWorkers(prev)
-	}
 	res := RPCResult{ID: t.ID, WorkerID: w.ID}
-	fail := func(err error) RPCResult {
+	if err := w.execute(t, &res); err != nil {
 		res.Err = err.Error()
-		return res
 	}
-	dtSpec := t.DType
-	if dtSpec == "" {
-		dtSpec = w.DType
-	}
-	dt, err := tensor.ParseDType(dtSpec)
+	return res
+}
+
+func (w *Worker) execute(t RPCTask, res *RPCResult) error {
+	e, err := w.evaluatorFor(t)
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	app, err := w.appFor(t)
-	if err != nil {
-		return fail(err)
-	}
-	rng := rand.New(rand.NewSource(t.Seed))
-	net, err := app.Space.Build(t.Arch, rng)
-	if err != nil {
-		return fail(err)
-	}
-	res.Params = net.ParamCount()
-	if t.Matcher != "" && len(t.Parent) > 0 {
-		m, ok := core.MatcherByName(t.Matcher)
-		if !ok || m == nil {
-			return fail(fmt.Errorf("cluster: unknown matcher %q", t.Matcher))
+	store := checkpoint.NewMemStore()
+	task := nas.Task{ID: t.ID, Arch: t.Arch, ParentID: -1, Seed: t.Seed}
+	if len(t.Parent) > 0 {
+		task.ParentID = t.ParentID
+		if err := checkpoint.SaveEncoded(store, nas.CandidateID(t.ParentID), t.Parent); err != nil {
+			return err
 		}
-		parent, err := checkpoint.Decode(bytes.NewReader(t.Parent))
-		if err != nil {
-			return fail(err)
-		}
-		stats, err := core.Transfer(m, parent.Sources(), net)
-		if err != nil {
-			return fail(err)
-		}
-		res.Copied = stats.Copied
-	}
-	epochs := t.PartialEpochs
-	if epochs <= 0 {
-		epochs = app.PartialEpochs
-	}
-	batch := t.BatchSizeHint
-	if batch <= 0 {
-		batch = app.Space.BatchSize
 	}
 	ctx := context.Background()
 	if t.DeadlineMillis > 0 {
@@ -818,68 +791,18 @@ func (w *Worker) Execute(t RPCTask) RPCResult {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(t.DeadlineMillis)*time.Millisecond)
 		defer cancel()
 	}
-	fitCfg := nn.FitConfig{Context: ctx, Epochs: epochs, BatchSize: batch, RNG: rng}
-	var model *checkpoint.Model
-	start := time.Now()
-	if dt == tensor.F32 {
-		// Same dtype boundary as the in-process evaluator: built and
-		// warm-started in f64 above, converted once, trained natively in f32.
-		net32, err := nn.ConvertNetwork[float32](net)
-		if err != nil {
-			return fail(err)
-		}
-		loss32, err := nn.ConvertLoss[float32](app.Space.Loss)
-		if err != nil {
-			return fail(err)
-		}
-		metric32, err := nn.ConvertMetric[float32](app.Space.Metric)
-		if err != nil {
-			return fail(err)
-		}
-		train32, val32 := w.f32Dataset(app)
-		h, err := nn.Fit(net32, loss32, metric32, nn.NewAdamOf[float32](), train32, val32, fitCfg)
-		res.TrainMillis = float64(time.Since(start)) / float64(time.Millisecond)
-		if err != nil {
-			return fail(err)
-		}
-		res.Score = h.FinalScore()
-		model = checkpoint.FromNetworkOf(t.Arch, res.Score, net32)
-	} else {
-		h, err := nn.Fit(net, app.Space.Loss, app.Space.Metric, nn.NewAdam(),
-			app.Dataset.Train, app.Dataset.Val, fitCfg)
-		res.TrainMillis = float64(time.Since(start)) / float64(time.Millisecond)
-		if err != nil {
-			return fail(err)
-		}
-		res.Score = h.FinalScore()
-		model = checkpoint.FromNetwork(t.Arch, res.Score, net)
+	r := e.EvaluateWith(ctx, task, store)
+	if r.Err != nil {
+		return r.Err
 	}
-	var buf bytes.Buffer
-	if err := model.Encode(&buf); err != nil {
-		return fail(err)
+	blob, err := checkpoint.LoadEncoded(store, nas.CandidateID(t.ID))
+	if err != nil {
+		return err
 	}
-	res.Checkpoint = buf.Bytes()
-	return res
-}
-
-// dial opens the coordinator connection, honoring the Dial override.
-func (w *Worker) dial(addr string) (*rpc.Client, error) {
-	if w.Dial == nil {
-		return dialRetry(addr)
-	}
-	var lastErr error
-	for i := 0; i < dialAttempts; i++ {
-		if i > 0 {
-			mRPCRetries.Inc()
-			time.Sleep(dialDelay)
-		}
-		conn, err := w.Dial(addr)
-		if err == nil {
-			return rpc.NewClient(conn), nil
-		}
-		lastErr = err
-	}
-	return nil, lastErr
+	res.Score, res.Params, res.Copied, res.Checkpoint = r.Score, r.Params, r.Transfer.Copied, blob
+	res.TrainMillis = float64(r.TrainTime) / float64(time.Millisecond)
+	res.EvalMillis = float64(r.EvalTime) / float64(time.Millisecond)
+	return nil
 }
 
 // Run connects to the coordinator (retrying the dial — workers commonly
@@ -887,7 +810,7 @@ func (w *Worker) dial(addr string) (*rpc.Client, error) {
 // shutdown. A side goroutine heartbeats every HeartbeatEvery so the
 // coordinator distinguishes "evaluating a slow candidate" from "dead".
 func (w *Worker) Run(addr string) error {
-	client, err := w.dial(addr)
+	client, err := dialRetry(addr)
 	if err != nil {
 		return fmt.Errorf("cluster: worker %s dialing %s: %w", w.ID, addr, err)
 	}

@@ -1,20 +1,32 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
+	"swtnas/internal/apps"
+	"swtnas/internal/checkpoint"
+	"swtnas/internal/core"
+	"swtnas/internal/data"
+	"swtnas/internal/evo"
+	"swtnas/internal/nas"
 	"swtnas/internal/trace"
 )
 
-// startCluster spins up a coordinator on a loopback port plus n in-process
-// workers, returning the coordinator and a stop function.
-func startCluster(t *testing.T, n int) (*Coordinator, func()) {
+// startCluster spins up a coordinator with an attached Executor on a
+// loopback port plus n in-process workers (each passed through setup, when
+// non-nil, before it runs), returning the executor and a stop function.
+func startCluster(t *testing.T, n int, cfg FaultConfig, setup func(*Worker)) (*Executor, func()) {
 	t.Helper()
-	c := NewCoordinator()
+	c := NewCoordinatorWith(cfg)
+	x, err := NewExecutor(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +34,10 @@ func startCluster(t *testing.T, n int) (*Coordinator, func()) {
 	go c.Serve(l) //nolint:errcheck // returns when the listener closes
 	done := make(chan error, n)
 	for i := 0; i < n; i++ {
-		w := &Worker{ID: fmt.Sprintf("worker-%d", i)}
+		w := &Worker{ID: fmt.Sprintf("worker-%d", i), HeartbeatEvery: 50 * time.Millisecond}
+		if setup != nil {
+			setup(w)
+		}
 		go func() { done <- w.Run(l.Addr().String()) }()
 	}
 	stop := func() {
@@ -39,7 +54,47 @@ func startCluster(t *testing.T, n int) (*Coordinator, func()) {
 		}
 		l.Close()
 	}
-	return c, stop
+	return x, stop
+}
+
+func tinyApp(t testing.TB) *apps.App {
+	t.Helper()
+	app, err := apps.New("nt3", 1, apps.Config{Data: data.Config{TrainN: 32, ValN: 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return app
+}
+
+// searchConfig is the seeded nt3 search the remote tests share.
+func searchConfig(t testing.TB, budget, workers int) nas.Config {
+	app := tinyApp(t)
+	return nas.Config{
+		App:      app,
+		Strategy: evo.NewRegularizedEvolution(app.Space, 3, 2),
+		Matcher:  core.LCS{},
+		Store:    checkpoint.NewCASMemStore(),
+		Budget:   budget,
+		Seed:     3,
+		Workers:  workers,
+	}
+}
+
+// recordsEqual pins two traces to the same candidates: id, parent, arch,
+// params, copied layers, score bits and failure marks.
+func recordsEqual(t *testing.T, a, b *trace.Trace, label string) {
+	t.Helper()
+	if len(a.Records) != len(b.Records) {
+		t.Fatalf("%s: %d records vs %d", label, len(a.Records), len(b.Records))
+	}
+	for i := range a.Records {
+		ra, rb := a.Records[i], b.Records[i]
+		if ra.ID != rb.ID || ra.ParentID != rb.ParentID || ra.Params != rb.Params ||
+			ra.TransferCopied != rb.TransferCopied || ra.Score != rb.Score ||
+			ra.Failed != rb.Failed || fmt.Sprint(ra.Arch) != fmt.Sprint(rb.Arch) {
+			t.Fatalf("%s: record %d differs:\n  %+v\n  %+v", label, i, ra, rb)
+		}
+	}
 }
 
 func TestWorkerExecutesTask(t *testing.T) {
@@ -58,7 +113,7 @@ func TestWorkerExecutesTask(t *testing.T) {
 	if len(res.Checkpoint) == 0 || res.Params <= 0 {
 		t.Fatalf("result = %+v", res)
 	}
-	// The app cache must serve a second task without rebuilding.
+	// The evaluator cache must serve a second task without rebuilding.
 	res2 := w.Execute(task)
 	if res2.Err != "" {
 		t.Fatal(res2.Err)
@@ -87,37 +142,56 @@ func TestWorkerRejectsBadTask(t *testing.T) {
 	}
 }
 
-func TestDistributedSearchOverTCP(t *testing.T) {
-	c, stop := startCluster(t, 2)
-	defer stop()
-	var mu sync.Mutex
-	var streamed []trace.Record
-	tr, err := RunDistributed(c, DistConfig{
-		App: "nt3", DataSeed: 1, TrainN: 32, ValN: 16,
-		Matcher: "LCS", Budget: 8, Outstanding: 2, Seed: 3, N: 3, S: 2,
-		Progress: func(r trace.Record) {
-			mu.Lock()
-			streamed = append(streamed, r)
-			mu.Unlock()
-		},
+func TestWorkerTransfersFromInlineParent(t *testing.T) {
+	w := &Worker{ID: "w"}
+	arch := []int{0, 0, 0, 0, 0, 0, 0, 0}
+	parentRes := w.Execute(RPCTask{
+		ID: 1, App: "nt3", DataSeed: 1, TrainN: 32, ValN: 16,
+		Arch: arch, Seed: 5,
 	})
+	if parentRes.Err != "" {
+		t.Fatal(parentRes.Err)
+	}
+	child := w.Execute(RPCTask{
+		ID: 2, App: "nt3", DataSeed: 1, TrainN: 32, ValN: 16,
+		Arch: arch, Seed: 6, Matcher: "LCS", ParentID: 1, Parent: parentRes.Checkpoint,
+	})
+	if child.Err != "" {
+		t.Fatal(child.Err)
+	}
+	// Same architecture: every layer group must be warm-started.
+	m, err := checkpoint.Decode(bytes.NewReader(parentRes.Checkpoint))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if child.Copied != len(m.Groups) {
+		t.Fatalf("copied %d of %d groups", child.Copied, len(m.Groups))
+	}
+}
+
+func TestDistributedSearchOverTCP(t *testing.T) {
+	x, stop := startCluster(t, 2, FaultConfig{}, nil)
+	defer stop()
+	cfg := searchConfig(t, 8, 2)
+	cfg.Executor = x
+	var streamed []nas.Result
+	cfg.Progress = func(r nas.Result) { streamed = append(streamed, r) }
+	tr, err := nas.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tr.Records) != 8 {
 		t.Fatalf("records = %d", len(tr.Records))
 	}
-	// Progress streamed the same records the trace recorded, in order.
-	mu.Lock()
+	// Progress streamed the same candidates the trace recorded, in order.
 	if len(streamed) != len(tr.Records) {
-		t.Fatalf("streamed %d records, trace has %d", len(streamed), len(tr.Records))
+		t.Fatalf("streamed %d results, trace has %d", len(streamed), len(tr.Records))
 	}
 	for i := range streamed {
 		if streamed[i].ID != tr.Records[i].ID || streamed[i].Score != tr.Records[i].Score {
-			t.Fatalf("streamed record %d = %+v, trace has %+v", i, streamed[i], tr.Records[i])
+			t.Fatalf("streamed result %d = %+v, trace has %+v", i, streamed[i], tr.Records[i])
 		}
 	}
-	mu.Unlock()
 	if tr.Scheme != "LCS" {
 		t.Fatalf("scheme = %q", tr.Scheme)
 	}
@@ -125,6 +199,9 @@ func TestDistributedSearchOverTCP(t *testing.T) {
 	for _, r := range tr.Records {
 		if r.CheckpointBytes == 0 {
 			t.Fatal("missing checkpoint bytes")
+		}
+		if _, err := cfg.Store.Load(nas.CandidateID(r.ID)); err != nil {
+			t.Fatalf("candidate %d checkpoint not in the search's store: %v", r.ID, err)
 		}
 		if r.TransferCopied > 0 {
 			transferred++
@@ -136,12 +213,12 @@ func TestDistributedSearchOverTCP(t *testing.T) {
 }
 
 func TestDistributedBaselineOverTCP(t *testing.T) {
-	c, stop := startCluster(t, 1)
+	x, stop := startCluster(t, 1, FaultConfig{}, nil)
 	defer stop()
-	tr, err := RunDistributed(c, DistConfig{
-		App: "nt3", DataSeed: 1, TrainN: 32, ValN: 16,
-		Budget: 4, Outstanding: 1, Seed: 4, N: 2, S: 2,
-	})
+	cfg := searchConfig(t, 4, 1)
+	cfg.Matcher = nil
+	cfg.Executor = x
+	tr, err := nas.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +232,15 @@ func TestDistributedBaselineOverTCP(t *testing.T) {
 	}
 }
 
-func TestRunDistributedValidatesBudget(t *testing.T) {
+// TestNewExecutorClaimsCoordinator: candidate IDs are per search, so one
+// coordinator serves one search.
+func TestNewExecutorClaimsCoordinator(t *testing.T) {
 	c := NewCoordinator()
-	if _, err := RunDistributed(c, DistConfig{App: "nt3", Budget: 0}); err == nil {
-		t.Fatal("zero budget must error")
+	defer c.Shutdown()
+	if _, err := NewExecutor(c); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RunDistributed(c, DistConfig{App: "bogus", Budget: 1}); err == nil {
-		t.Fatal("unknown app must error")
+	if _, err := NewExecutor(c); err == nil {
+		t.Fatal("a second executor on one coordinator must fail")
 	}
 }

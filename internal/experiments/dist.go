@@ -1,12 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
 	"time"
 
 	"swtnas/internal/cluster"
+	"swtnas/internal/core"
+	"swtnas/internal/evo"
+	"swtnas/internal/nas"
 	"swtnas/internal/obs"
 )
 
@@ -24,7 +28,8 @@ type DistResult struct {
 	Best float64
 	// MeanTrain averages the worker-measured per-candidate training time.
 	MeanTrain time.Duration
-	// CheckpointKB is the total checkpoint traffic returned by workers.
+	// CheckpointKB is the total size of the checkpoints workers returned,
+	// as saved in the search's store.
 	CheckpointKB float64
 	// Wall is the coordinator-side end-to-end search duration.
 	Wall time.Duration
@@ -46,14 +51,18 @@ func (s *Suite) distWorkers() int {
 
 // Dist runs one miniature distributed search per estimation scheme over real
 // net/rpc workers — the paper's Figure 6 coordinator/evaluator split — and
-// prints a summary table. It is the wiring between cluster.RunDistributed
-// and the experiment report: the same trace schema the single-process
-// experiments consume, plus the obs kernel counters that attribute compute
-// to each scheme. The first configured application is used (narrow with
-// -apps); the per-search budget and worker count follow the suite config.
+// prints a summary table. Each search is nas.Run with a cluster.Executor, so
+// it yields the same trace schema the single-process experiments consume,
+// plus the obs kernel counters that attribute compute to each scheme. The
+// first configured application is used (narrow with -apps); the per-search
+// budget and worker count follow the suite config.
 func (s *Suite) Dist(w io.Writer) ([]DistResult, error) {
 	appName := s.Cfg.Apps[0]
 	workers := s.distWorkers()
+	app, err := s.App(appName)
+	if err != nil {
+		return nil, err
+	}
 
 	// The gemm counters live in the process-global obs registry; the workers
 	// run in-process, so deltas around each search isolate its kernel work.
@@ -66,11 +75,12 @@ func (s *Suite) Dist(w io.Writer) ([]DistResult, error) {
 
 	var results []DistResult
 	for _, scheme := range Schemes() {
-		matcher := scheme
-		if scheme == "baseline" {
-			matcher = ""
-		}
+		matcher, _ := core.MatcherByName(scheme)
 		c := cluster.NewCoordinator()
+		exec, err := cluster.NewExecutor(c)
+		if err != nil {
+			return nil, err
+		}
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
@@ -84,17 +94,14 @@ func (s *Suite) Dist(w io.Writer) ([]DistResult, error) {
 
 		before := obs.Take()
 		start := time.Now()
-		tr, err := cluster.RunDistributed(c, cluster.DistConfig{
-			App:         appName,
-			DataSeed:    s.Cfg.Seed,
-			TrainN:      s.Cfg.TrainN,
-			ValN:        s.Cfg.ValN,
-			Matcher:     matcher,
-			Budget:      s.Cfg.Budget,
-			Outstanding: workers,
-			Seed:        s.Cfg.Seed,
-			N:           s.Cfg.PopN,
-			S:           s.Cfg.PopS,
+		tr, err := nas.Run(context.Background(), nas.Config{
+			App:      app,
+			Strategy: evo.NewRegularizedEvolution(app.Space, s.Cfg.PopN, s.Cfg.PopS),
+			Matcher:  matcher,
+			Workers:  workers,
+			Budget:   s.Cfg.Budget,
+			Seed:     s.Cfg.Seed,
+			Executor: exec,
 		})
 		wall := time.Since(start)
 		delta := obs.Take().Delta(before)

@@ -15,8 +15,13 @@ const (
 	// FaultReadmit: a quarantined worker showed signs of life and rejoined
 	// the schedule.
 	FaultReadmit FaultKind = "readmit"
-	// FaultFailed: a candidate exhausted its retry budget; the search
-	// continues without it.
+	// FaultFailed: a candidate exhausted its retry budget. What follows
+	// depends on the executor. On remote workers (cluster.Executor), where
+	// failures are crashes and stalls, the result wraps ErrRetriesExhausted:
+	// the candidate becomes a Failed trace record and the search continues.
+	// On a SharedPool, where failures are evaluation errors, the result
+	// carries the last error, which aborts the search like any evaluation
+	// error in Run.
 	FaultFailed FaultKind = "failed"
 	// FaultSpeculate: a task overran the calibrated latency quantile and a
 	// backup attempt was launched on another worker (first result wins).

@@ -17,10 +17,10 @@ var mGCDeleted = obs.GetCounter("nas.gc.checkpoints.deleted")
 // A candidate's checkpoint may be deleted once three conditions hold:
 // it has been evicted from the strategy's population (it can never be
 // sampled as a parent again), it is outside the running top-K scores (it
-// can never appear in the final ranking the run reports), and no issued
-// task still names it as transfer provider. The last condition is tracked
-// with per-parent reference counts so eviction defers while an evaluation
-// that needs the parent is in flight.
+// can never appear in the final ranking the run reports), and no drawn
+// proposal still names it as transfer provider. The last condition is tracked
+// with per-parent reference counts so eviction defers while a proposal
+// that needs the parent is queued or in flight.
 //
 // All methods are called from the scheduler goroutine only (live loop and
 // journal replay alike), so the struct needs no locking.
@@ -29,7 +29,7 @@ type candidateGC struct {
 	retain int
 
 	scores  map[int]float64 // candidates whose checkpoint is (or was) in the store
-	refs    map[int]int     // parent id -> issued-but-unfinished tasks using it
+	refs    map[int]int     // parent id -> drawn-but-unfinished proposals using it
 	evicted map[int]bool    // aged out of the population, awaiting collection
 }
 
@@ -43,8 +43,9 @@ func newCandidateGC(store checkpoint.Store, retain int) *candidateGC {
 	}
 }
 
-// taskIssued pins parentID (if any) until taskDone.
-func (g *candidateGC) taskIssued(parentID int) {
+// pin holds parentID (if any) until taskDone. Run pins when a proposal is
+// drawn, so a proposal queued by the proxy filter keeps its parent alive.
+func (g *candidateGC) pin(parentID int) {
 	if g == nil || parentID < 0 {
 		return
 	}

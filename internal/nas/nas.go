@@ -45,6 +45,11 @@ var (
 	mCandErrors       = obs.GetCounter("nas.candidates.errors")
 )
 
+// ErrRetriesExhausted marks a candidate an Executor gave up on after its
+// retry budget was spent. Run records such a result as a Failed candidate
+// and continues; any other evaluation error aborts the search.
+var ErrRetriesExhausted = errors.New("nas: candidate retries exhausted")
+
 // CandidateID renders the checkpoint id of a candidate number.
 func CandidateID(id int) string { return fmt.Sprintf("cand-%06d", id) }
 
@@ -102,7 +107,7 @@ type Result struct {
 
 // Evaluator scores candidates for one application. An Evaluator is
 // stateless between calls except for the shared checkpoint store and the
-// lazily converted float32 dataset, so any number of Evaluate calls may run
+// lazily converted float32 dataset, so any number of evaluations may run
 // concurrently.
 type Evaluator struct {
 	// App supplies the space, dataset and training budget.
@@ -129,20 +134,21 @@ type Evaluator struct {
 	f32Val   *nn.DataOf[float32]
 }
 
-// Evaluate runs one candidate end to end. Transfer failures are not fatal:
-// a receiver that cannot be warm-started trains from its fresh weights,
-// like the paper's non-transferable pairs. It is EvaluateCtx with a
-// background context.
-func (e *Evaluator) Evaluate(task Task) Result {
-	return e.EvaluateCtx(context.Background(), task)
+// EvaluateCtx runs one candidate end to end under a context: cancellation
+// stops the candidate's training between minibatches (see
+// nn.FitConfig.Context) and surfaces as a Result whose Err wraps the context
+// error.
+func (e *Evaluator) EvaluateCtx(ctx context.Context, task Task) Result {
+	return e.EvaluateWith(ctx, task, e.Store)
 }
 
-// EvaluateCtx is Evaluate under a context: cancellation stops the
-// candidate's training between minibatches (see nn.FitConfig.Context) and
-// surfaces as a Result whose Err wraps the context error.
-func (e *Evaluator) EvaluateCtx(ctx context.Context, task Task) Result {
+// EvaluateWith is EvaluateCtx against an explicit checkpoint store: the
+// provider is read from, and the candidate's checkpoint written to, store
+// instead of e.Store. A remote worker evaluates each task this way in a
+// per-task store holding only the shipped provider.
+func (e *Evaluator) EvaluateWith(ctx context.Context, task Task, store checkpoint.Store) Result {
 	start := time.Now()
-	res := e.evaluate(ctx, task)
+	res := e.evaluate(ctx, task, store)
 	res.EvalTime = time.Since(start)
 	if !task.IssuedAt.IsZero() {
 		res.QueueWait = start.Sub(task.IssuedAt)
@@ -164,8 +170,8 @@ func (e *Evaluator) EvaluateCtx(ctx context.Context, task Task) Result {
 	return res
 }
 
-// evaluate is EvaluateCtx without the telemetry envelope.
-func (e *Evaluator) evaluate(ctx context.Context, task Task) Result {
+// evaluate is EvaluateWith without the telemetry envelope.
+func (e *Evaluator) evaluate(ctx context.Context, task Task, store checkpoint.Store) Result {
 	res := Result{ID: task.ID, Arch: task.Arch, ParentID: task.ParentID}
 	rng := rand.New(rand.NewSource(task.Seed))
 	net, err := e.App.Space.Build(task.Arch, rng)
@@ -178,7 +184,7 @@ func (e *Evaluator) evaluate(ctx context.Context, task Task) Result {
 
 	if e.Matcher != nil && task.ParentID >= 0 {
 		t := mTransferSeconds.Start()
-		parent, err := e.Store.Load(CandidateID(task.ParentID))
+		parent, err := store.Load(CandidateID(task.ParentID))
 		if err != nil {
 			res.Err = fmt.Errorf("nas: loading provider %d: %w", task.ParentID, err)
 			return res
@@ -218,7 +224,7 @@ func (e *Evaluator) evaluate(ctx context.Context, task Task) Result {
 		res.Score = h.FinalScore()
 		ckpt = checkpoint.FromNetwork(task.Arch, res.Score, net)
 	}
-	n, err := e.Store.Save(CandidateID(task.ID), ckpt)
+	n, err := store.Save(CandidateID(task.ID), ckpt)
 	if err != nil {
 		res.Err = fmt.Errorf("nas: checkpointing candidate %d: %w", task.ID, err)
 		return res
@@ -306,15 +312,17 @@ type Config struct {
 	// stopping by cancelling the context when BestScore plateaus). On a
 	// resumed run the journaled prefix is streamed first, each replayed
 	// candidate marked Resumed, so a progress feed always sees the full
-	// history. It must not call back into the search; a slow callback
-	// delays issuing the next candidate but never corrupts the run.
+	// history. A Failed candidate (see Run) is streamed too, with Err set.
+	// It must not call back into the search; a slow callback delays
+	// issuing the next candidate but never corrupts the run.
 	Progress func(Result)
 	// Executor, when non-nil, runs the candidate evaluations — a
 	// SharedPool client when this search shares evaluator slots with
-	// others. Nil gives the search its own Workers goroutines, the
-	// single-search behavior. With an Executor set, Workers bounds only
-	// this search's outstanding tasks (the pool sizes real concurrency)
-	// and the automatic kernel split is left to the pool.
+	// others, or a cluster.Executor for remote TCP workers. Nil gives the
+	// search its own Workers goroutines, the single-search behavior. With
+	// an Executor set, Workers bounds only this search's outstanding tasks
+	// (the executor sizes real concurrency) and the automatic kernel split
+	// is left to it.
 	Executor Executor
 	// Journal, when non-nil, receives an append for every completed
 	// candidate before Progress fires, so a crashed run can resume from its
@@ -365,7 +373,11 @@ func SchemeName(m core.Matcher) string {
 // Run executes a candidate-estimation phase and returns its trace.
 // Evaluation errors abort the run: every architecture in the shipped spaces
 // is buildable, so an error indicates a real defect rather than a bad
-// candidate.
+// candidate. The one exception is a result whose Err wraps
+// ErrRetriesExhausted (a remote candidate whose workers kept crashing or
+// stalling): it becomes a Failed trace record that counts toward Budget, is
+// journaled and streamed to Progress with its Err set, is never reported to
+// the strategy, and the search goes on.
 //
 // Cancelling ctx stops the search promptly: evaluations in flight stop at
 // the next minibatch boundary (their partial candidates are dropped, not
@@ -427,6 +439,14 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tr := &trace.Trace{App: cfg.App.Name, Scheme: SchemeName(cfg.Matcher), Seed: cfg.Seed}
 
+	// Parents are pinned against GC when a proposal is drawn, not when its
+	// task is issued: the proxy filter queues admitted proposals, and a
+	// queued proposal's parent may age out of the population before the
+	// proposal reaches an evaluator. Rejected proposals release their pin.
+	if gc != nil {
+		strategy = pinParents{Strategy: strategy, gc: gc}
+	}
+
 	// Proxy admission filter: wrap the strategy so both the live loop and
 	// journal replay see the filtered proposal stream — replay re-derives
 	// the filter's deterministic decisions instead of reading them from the
@@ -434,6 +454,7 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	// (Propose is never called concurrently), so the trace append is safe.
 	if cfg.Prefilter != nil {
 		cfg.Prefilter.SetOnFiltered(func(fc proxy.FilteredCandidate) {
+			gc.taskDone(fc.ParentID)
 			tr.Filtered = append(tr.Filtered, trace.FilteredRecord{
 				Seq:        fc.Seq,
 				Arch:       fc.Arch,
@@ -483,16 +504,14 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	}
 	dispatch := func() bool {
 		if len(pending) > 0 {
-			// Recovered in-flight tasks were already pinned during replay.
 			t := pending[0]
 			pending = pending[1:]
 			t.IssuedAt = time.Now()
-			exec.Submit(ctx, t, eval.EvaluateCtx, results)
+			exec.Submit(ctx, t, eval, results)
 			return true
 		}
 		if issued < cfg.Budget {
 			p := strategy.Propose(rng)
-			gc.taskIssued(p.ParentID)
 			if p.ProxyScore != 0 {
 				proxyScores[issued] = p.ProxyScore
 			}
@@ -502,7 +521,7 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 				ParentID: p.ParentID,
 				Seed:     TaskSeed(cfg.Seed, issued),
 				IssuedAt: time.Now(),
-			}, eval.EvaluateCtx, results)
+			}, eval, results)
 			issued++
 			return true
 		}
@@ -511,7 +530,7 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 
 	best := math.Inf(-1)
 	for _, r := range tr.Records {
-		if r.Score > best {
+		if !r.Failed && r.Score > best {
 			best = r.Score
 		}
 	}
@@ -534,19 +553,23 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 			if errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded) {
 				continue // cancelled mid-training or skipped in queue; keep draining
 			}
-			return nil, res.Err
+			if !errors.Is(res.Err, ErrRetriesExhausted) {
+				return nil, res.Err
+			}
 		}
 		res.CompletedAt = time.Since(start)
-		if res.Score > best {
-			best = res.Score
-		}
-		res.BestScore = best
 		res.ProxyScore = proxyScores[res.ID]
 		delete(proxyScores, res.ID)
 		gc.taskDone(res.ParentID)
-		gc.completed(res.ID, res.Score)
-		strategy.Report(evo.Individual{ID: res.ID, Arch: res.Arch, Score: res.Score, Params: res.Params})
-		tr.Records = append(tr.Records, trace.Record{
+		if res.Err == nil {
+			if res.Score > best {
+				best = res.Score
+			}
+			gc.completed(res.ID, res.Score)
+			strategy.Report(evo.Individual{ID: res.ID, Arch: res.Arch, Score: res.Score, Params: res.Params})
+		}
+		res.BestScore = best
+		rec := trace.Record{
 			ID:              res.ID,
 			Arch:            res.Arch,
 			Score:           res.Score,
@@ -560,29 +583,14 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 			EvalTime:        res.EvalTime,
 			QueueWait:       res.QueueWait,
 			ProxyScore:      res.ProxyScore,
-		})
+		}
+		if res.Err != nil {
+			rec.Failed, rec.FailReason = true, res.Err.Error()
+		}
+		tr.Records = append(tr.Records, rec)
 		if cfg.Journal != nil {
-			rec := resilience.EvalRecord{Record: tr.Records[len(tr.Records)-1]}
-			if ms, ok := store.(checkpoint.ManifestStore); ok && ms.DurableBlobs() {
-				// Manifest record: the blobs are already durable in the
-				// content-addressed store, so the journal carries only the
-				// layer→hash table — the per-candidate growth the paper's
-				// checkpoint-I/O numbers care about drops to a few hundred
-				// bytes.
-				man, err := ms.EncodedManifest(CandidateID(res.ID))
-				if err != nil {
-					return nil, fmt.Errorf("nas: journaling candidate %d: %w", res.ID, err)
-				}
-				rec.Manifest = man
-			} else {
-				blob, err := checkpoint.LoadEncoded(store, CandidateID(res.ID))
-				if err != nil {
-					return nil, fmt.Errorf("nas: journaling candidate %d: %w", res.ID, err)
-				}
-				rec.Checkpoint = blob
-			}
-			if err := cfg.Journal.Append(rec); err != nil {
-				return nil, fmt.Errorf("nas: journaling candidate %d: %w", res.ID, err)
+			if err := appendJournal(cfg.Journal, store, rec); err != nil {
+				return nil, err
 			}
 		}
 		// Sweep after the journal append: the candidate just journaled is
@@ -602,6 +610,42 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	return tr, nil
 }
 
+// appendJournal appends one trace record with its checkpoint: a manifest when
+// the store's blobs are durable (the journal then grows by a few hundred
+// bytes per candidate), else the encoded checkpoint. A Failed record has no
+// checkpoint.
+func appendJournal(j *resilience.Journal, store checkpoint.Store, r trace.Record) error {
+	rec := resilience.EvalRecord{Record: r}
+	if !r.Failed {
+		var err error
+		if ms, ok := store.(checkpoint.ManifestStore); ok && ms.DurableBlobs() {
+			rec.Manifest, err = ms.EncodedManifest(CandidateID(r.ID))
+		} else {
+			rec.Checkpoint, err = checkpoint.LoadEncoded(store, CandidateID(r.ID))
+		}
+		if err != nil {
+			return fmt.Errorf("nas: journaling candidate %d: %w", r.ID, err)
+		}
+	}
+	if err := j.Append(rec); err != nil {
+		return fmt.Errorf("nas: journaling candidate %d: %w", r.ID, err)
+	}
+	return nil
+}
+
+// pinParents pins each drawn proposal's parent in the checkpoint GC until
+// the task that uses it completes (or the proxy filter rejects it).
+type pinParents struct {
+	evo.Strategy
+	gc *candidateGC
+}
+
+func (s pinParents) Propose(rng *rand.Rand) evo.Proposal {
+	p := s.Strategy.Propose(rng)
+	s.gc.pin(p.ParentID)
+	return p
+}
+
 // localExecutor is the default Executor: a per-search set of worker
 // goroutines, dedicated to one Run call and torn down when it returns.
 type localExecutor struct {
@@ -611,7 +655,7 @@ type localExecutor struct {
 type localItem struct {
 	ctx  context.Context
 	task Task
-	eval EvalFunc
+	eval *Evaluator
 	out  chan<- Result
 }
 
@@ -627,7 +671,7 @@ func newLocalExecutor(workers int) *localExecutor {
 					it.out <- Result{ID: it.task.ID, Arch: it.task.Arch, ParentID: it.task.ParentID, Err: err}
 					continue
 				}
-				it.out <- it.eval(it.ctx, it.task)
+				it.out <- it.eval.EvaluateCtx(it.ctx, it.task)
 			}
 		}()
 	}
@@ -636,8 +680,8 @@ func newLocalExecutor(workers int) *localExecutor {
 
 // Submit never blocks the scheduler: the channel buffer covers the
 // outstanding-task bound (one new task per completed result).
-func (le *localExecutor) Submit(ctx context.Context, t Task, eval EvalFunc, out chan<- Result) {
-	le.tasks <- localItem{ctx: ctx, task: t, eval: eval, out: out}
+func (le *localExecutor) Submit(ctx context.Context, t Task, e *Evaluator, out chan<- Result) {
+	le.tasks <- localItem{ctx: ctx, task: t, eval: e, out: out}
 }
 
 func (le *localExecutor) close() { close(le.tasks) }

@@ -36,7 +36,7 @@ func TestEvaluatorBaseline(t *testing.T) {
 	store := checkpoint.NewMemStore()
 	e := &Evaluator{App: app, Store: store}
 	arch := app.Space.Random(randSource(1))
-	res := e.Evaluate(Task{ID: 0, Arch: arch, ParentID: -1, Seed: 7})
+	res := e.EvaluateCtx(context.Background(), Task{ID: 0, Arch: arch, ParentID: -1, Seed: 7})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -60,7 +60,7 @@ func TestEvaluatorTransfersFromParent(t *testing.T) {
 	e := &Evaluator{App: app, Store: store, Matcher: core.LCS{}}
 	rng := randSource(2)
 	parentArch := app.Space.Random(rng)
-	parent := e.Evaluate(Task{ID: 0, Arch: parentArch, ParentID: -1, Seed: 1})
+	parent := e.EvaluateCtx(context.Background(), Task{ID: 0, Arch: parentArch, ParentID: -1, Seed: 1})
 	if parent.Err != nil {
 		t.Fatal(parent.Err)
 	}
@@ -68,7 +68,7 @@ func TestEvaluatorTransfersFromParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	child := e.Evaluate(Task{ID: 1, Arch: childArch, ParentID: 0, Seed: 2})
+	child := e.EvaluateCtx(context.Background(), Task{ID: 1, Arch: childArch, ParentID: 0, Seed: 2})
 	if child.Err != nil {
 		t.Fatal(child.Err)
 	}
@@ -80,7 +80,7 @@ func TestEvaluatorTransfersFromParent(t *testing.T) {
 func TestEvaluatorMissingParentFails(t *testing.T) {
 	app := tinyApp(t, "nt3")
 	e := &Evaluator{App: app, Store: checkpoint.NewMemStore(), Matcher: core.LP{}}
-	res := e.Evaluate(Task{ID: 0, Arch: app.Space.Random(randSource(3)), ParentID: 99, Seed: 1})
+	res := e.EvaluateCtx(context.Background(), Task{ID: 0, Arch: app.Space.Random(randSource(3)), ParentID: 99, Seed: 1})
 	if res.Err == nil {
 		t.Fatal("missing provider checkpoint must fail the evaluation")
 	}

@@ -34,19 +34,20 @@ var (
 var ErrQuotaExceeded = errors.New("nas: evaluator pool quota exceeded")
 
 // EvalFunc evaluates one candidate; Evaluator.EvaluateCtx is the canonical
-// implementation. Each search supplies its own (the app, matcher and store
-// differ per search), so a shared pool executes closures, not a fixed
-// evaluator.
+// implementation. A shared pool queues one per task, because the app,
+// matcher and store differ per search.
 type EvalFunc func(context.Context, Task) Result
 
 // Executor abstracts where a search's candidate evaluations run: Run's
-// built-in per-search worker goroutines (the default), or a PoolClient on a
+// built-in per-search worker goroutines (the default), a PoolClient on a
 // SharedPool whose evaluator slots are fairly divided between many
-// concurrent searches. Submit must not block the scheduler: the result is
+// concurrent searches, or remote workers (cluster.Executor). Each task comes
+// with the search's Evaluator, which names the app, matcher, dtype and
+// checkpoint store. Submit must not block the scheduler: the result is
 // delivered to out (whose capacity covers every in-flight task) exactly
 // once, possibly after Run has returned.
 type Executor interface {
-	Submit(ctx context.Context, t Task, eval EvalFunc, out chan<- Result)
+	Submit(ctx context.Context, t Task, e *Evaluator, out chan<- Result)
 }
 
 // PoolConfig sizes a SharedPool and sets its admission policy.
@@ -198,7 +199,12 @@ func (p *SharedPool) Register(cfg ClientConfig) (*PoolClient, error) {
 
 // Submit schedules one candidate evaluation; it never blocks (the queue is
 // unbounded, fairness is applied when slots pick work). Part of Executor.
-func (c *PoolClient) Submit(ctx context.Context, t Task, eval EvalFunc, out chan<- Result) {
+func (c *PoolClient) Submit(ctx context.Context, t Task, e *Evaluator, out chan<- Result) {
+	c.submit(ctx, t, e.EvaluateCtx, out)
+}
+
+// submit is Submit for any evaluation function.
+func (c *PoolClient) submit(ctx context.Context, t Task, eval EvalFunc, out chan<- Result) {
 	p := c.pool
 	p.mu.Lock()
 	if c.closed || p.closed {

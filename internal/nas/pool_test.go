@@ -59,8 +59,8 @@ func TestPoolWeightedRoundRobin(t *testing.T) {
 	// submitting from under an artificial backlog. Submit never blocks, so
 	// queue 4 tasks per client back to back.
 	for i := 0; i < 4; i++ {
-		a.Submit(context.Background(), Task{ID: i}, stubEval(&mu, &order, "a"), outA)
-		b.Submit(context.Background(), Task{ID: i}, stubEval(&mu, &order, "b"), outB)
+		a.submit(context.Background(), Task{ID: i}, stubEval(&mu, &order, "a"), outA)
+		b.submit(context.Background(), Task{ID: i}, stubEval(&mu, &order, "b"), outB)
 	}
 	drain(t, outA, 4)
 	drain(t, outB, 4)
@@ -101,10 +101,10 @@ func TestPoolWeightBias(t *testing.T) {
 	outH := make(chan Result, 12)
 	outL := make(chan Result, 12)
 	for i := 0; i < 12; i++ {
-		heavy.Submit(context.Background(), Task{ID: i}, stubEval(&mu, &order, "h"), outH)
+		heavy.submit(context.Background(), Task{ID: i}, stubEval(&mu, &order, "h"), outH)
 	}
 	for i := 0; i < 12; i++ {
-		light.Submit(context.Background(), Task{ID: i}, stubEval(&mu, &order, "l"), outL)
+		light.submit(context.Background(), Task{ID: i}, stubEval(&mu, &order, "l"), outL)
 	}
 	drain(t, outH, 12)
 	drain(t, outL, 12)
@@ -189,7 +189,7 @@ func TestPoolRetryAndFaultEvents(t *testing.T) {
 		return Result{ID: task.ID, Score: 0.9}
 	}
 	out := make(chan Result, 1)
-	c.Submit(context.Background(), Task{ID: 7}, flaky, out)
+	c.submit(context.Background(), Task{ID: 7}, flaky, out)
 	res := drain(t, out, 1)[0]
 	if res.Err != nil || res.Score != 0.9 {
 		t.Fatalf("flaky result = %+v", res)
@@ -207,7 +207,7 @@ func TestPoolRetryAndFaultEvents(t *testing.T) {
 	mu.Unlock()
 
 	// Persistent failure: budget spent, terminal failed event, error result.
-	c.Submit(context.Background(), Task{ID: 8}, func(ctx context.Context, task Task) Result {
+	c.submit(context.Background(), Task{ID: 8}, func(ctx context.Context, task Task) Result {
 		return Result{ID: task.ID, Err: errors.New("broken")}
 	}, out)
 	res = drain(t, out, 1)[0]
@@ -240,14 +240,14 @@ func TestPoolPanicIsolation(t *testing.T) {
 
 	outBad := make(chan Result, 1)
 	outGood := make(chan Result, 1)
-	bad.Submit(context.Background(), Task{ID: 1}, func(ctx context.Context, task Task) Result {
+	bad.submit(context.Background(), Task{ID: 1}, func(ctx context.Context, task Task) Result {
 		panic("tenant defect")
 	}, outBad)
 	res := drain(t, outBad, 1)[0]
 	if res.Err == nil || res.ID != 1 {
 		t.Fatalf("panicking eval result = %+v", res)
 	}
-	good.Submit(context.Background(), Task{ID: 2}, func(ctx context.Context, task Task) Result {
+	good.submit(context.Background(), Task{ID: 2}, func(ctx context.Context, task Task) Result {
 		return Result{ID: task.ID, Score: 1}
 	}, outGood)
 	if res := drain(t, outGood, 1)[0]; res.Err != nil || res.Score != 1 {

@@ -204,3 +204,66 @@ func TestParetoStrategySearch(t *testing.T) {
 		}
 	}
 }
+
+// TestProxyFilterWithRetainTopK: the proxy filter queues admitted proposals
+// when it draws them, so a queued proposal's parent can age out of the
+// population before the proposal is issued. The GC must keep that parent's
+// checkpoint until the queued child has trained from it, in the live loop
+// and on resume alike.
+func TestProxyFilterWithRetainTopK(t *testing.T) {
+	dir := t.TempDir()
+	header := resilience.Header{App: "nt3", Budget: 24, ProxyFilter: true, ProxyAdmit: 0.5}
+	config := func(seed int64) Config {
+		cfg := newProxyConfig(t, checkpoint.NewCASMemStore())
+		cfg.Seed = seed
+		cfg.Budget = header.Budget
+		cfg.RetainTopK = 1
+		return cfg
+	}
+	for _, seed := range []int64{1, 2} {
+		path := filepath.Join(dir, fmt.Sprintf("full-%d.swtj", seed))
+		j, err := resilience.Create(path, header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := config(seed)
+		cfg.Journal = j
+		full, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		j.Close()
+		if len(full.Records) != cfg.Budget {
+			t.Fatalf("seed %d: completed %d of %d", seed, len(full.Records), cfg.Budget)
+		}
+		rec, err := resilience.Read(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{7, 15} {
+			cut := filepath.Join(dir, fmt.Sprintf("cut-%d-%d.swtj", seed, k))
+			jc, err := resilience.Create(cut, header)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, er := range rec.Records[:k] {
+				if err := jc.Append(er); err != nil {
+					t.Fatal(err)
+				}
+			}
+			jc.Close()
+			j2, rc, err := resilience.Open(cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rcfg := config(seed)
+			rcfg.Journal, rcfg.Resume = j2, rc
+			resumed, err := Run(context.Background(), rcfg)
+			j2.Close()
+			if err != nil {
+				t.Fatalf("seed %d resume at k=%d: %v", seed, k, err)
+			}
+			tracesEqual(t, full, resumed, fmt.Sprintf("seed %d k=%d", seed, k))
+		}
+	}
+}

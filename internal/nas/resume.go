@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"swtnas/internal/checkpoint"
 	"swtnas/internal/core"
@@ -38,7 +39,6 @@ func replayJournal(cfg Config, strategy evo.Strategy, store checkpoint.Store, gc
 	var order []int        // issue order of open tasks
 	issue := func() {
 		p := strategy.Propose(rng)
-		gc.taskIssued(p.ParentID)
 		open[issued] = Task{
 			ID:         issued,
 			Arch:       p.Arch,
@@ -66,12 +66,16 @@ func replayJournal(cfg Config, strategy evo.Strategy, store checkpoint.Store, gc
 		if !archsEqual(t.Arch, r.Arch) {
 			return nil, 0, fmt.Errorf("nas: journal candidate %d has arch %v, replay proposed %v — journal and run options disagree", r.ID, r.Arch, t.Arch)
 		}
-		if err := restoreCheckpoint(store, er, gc != nil); err != nil {
-			return nil, 0, err
-		}
 		gc.taskDone(t.ParentID)
-		gc.completed(r.ID, r.Score)
-		strategy.Report(evo.Individual{ID: r.ID, Arch: r.Arch, Score: r.Score, Params: r.Params})
+		// A Failed record has no checkpoint and was never reported to the
+		// strategy; replaying it only consumes its slot in the schedule.
+		if !r.Failed {
+			if err := restoreCheckpoint(store, er, gc != nil); err != nil {
+				return nil, 0, err
+			}
+			gc.completed(r.ID, r.Score)
+			strategy.Report(evo.Individual{ID: r.ID, Arch: r.Arch, Score: r.Score, Params: r.Params})
+		}
 		tr.Records = append(tr.Records, r)
 		delete(open, r.ID)
 		if issued < cfg.Budget {
@@ -84,7 +88,12 @@ func replayJournal(cfg Config, strategy evo.Strategy, store checkpoint.Store, gc
 		// layer's SSE replay on top of it) sees the full history of a
 		// resumed run, each journaled candidate marked Resumed, with the
 		// original run's timings preserved.
-		if r.Score > best {
+		var failure error
+		if r.Failed {
+			// FailReason is the live error's text, which starts with the
+			// sentinel's; rebuild an error with that text that wraps it.
+			failure = fmt.Errorf("%w%s", ErrRetriesExhausted, strings.TrimPrefix(r.FailReason, ErrRetriesExhausted.Error()))
+		} else if r.Score > best {
 			best = r.Score
 		}
 		if cfg.Progress != nil {
@@ -104,6 +113,7 @@ func replayJournal(cfg Config, strategy evo.Strategy, store checkpoint.Store, gc
 				BestScore:       best,
 				ProxyScore:      r.ProxyScore,
 				Resumed:         true,
+				Err:             failure,
 			})
 		}
 	}

@@ -1,8 +1,8 @@
 // Package faultinject is the deterministic fault-injection harness behind
 // the resilience tests: it wraps a cluster worker's evaluator (ExecuteHook)
-// and RPC transport (Dial) to inject worker crashes, lost results, task
-// failures and slowdowns from a seeded schedule, so "kill K workers
-// mid-search" is a reproducible unit test instead of a manual drill.
+// to inject worker crashes, lost results, task failures and slowdowns from a
+// seeded schedule, so "kill K workers mid-search" is a reproducible unit
+// test instead of a manual drill.
 //
 // Faults are scripted per worker as a Plan; NewSchedule draws one Plan per
 // worker from a seeded RNG so a whole cluster's failure pattern is a single
@@ -12,7 +12,6 @@ package faultinject
 
 import (
 	"math/rand"
-	"net"
 	"time"
 
 	"swtnas/internal/cluster"
@@ -131,29 +130,4 @@ func (s *Schedule) WrapAll(workers []*cluster.Worker) {
 			Wrap(w, s.Plans[i])
 		}
 	}
-}
-
-// Dialer returns a Worker.Dial override whose connections delay every write
-// by latency — a deterministic slow network for transport-level tests.
-func Dialer(latency time.Duration) func(addr string) (net.Conn, error) {
-	return func(addr string) (net.Conn, error) {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		return &slowConn{Conn: conn, delay: latency}, nil
-	}
-}
-
-// slowConn injects a fixed delay before each write.
-type slowConn struct {
-	net.Conn
-	delay time.Duration
-}
-
-func (c *slowConn) Write(b []byte) (int, error) {
-	if c.delay > 0 {
-		time.Sleep(c.delay)
-	}
-	return c.Conn.Write(b)
 }

@@ -1,13 +1,20 @@
 package faultinject
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"testing"
 	"time"
 
+	"swtnas/internal/apps"
 	"swtnas/internal/cluster"
+	"swtnas/internal/core"
+	"swtnas/internal/data"
+	"swtnas/internal/evo"
+	"swtnas/internal/nas"
 	"swtnas/internal/obs"
+	"swtnas/internal/trace"
 )
 
 // fastFaults is a FaultConfig scaled to test time: a silent worker is
@@ -21,77 +28,148 @@ func fastFaults() cluster.FaultConfig {
 	}
 }
 
-// startInjectedCluster runs a coordinator plus n workers wrapped by the
-// schedule's plans. Workers heartbeat every 50ms; crashed workers exit Run
+// injectedCluster is a coordinator with an attached Executor plus workers
+// wrapped by a schedule's plans, started one by one so a test controls who
+// is connected when. Workers heartbeat every 50ms; crashed workers exit Run
 // cleanly (ErrCrash is a simulated death, not an error).
-func startInjectedCluster(t *testing.T, n int, sched *Schedule) (*cluster.Coordinator, func()) {
+type injectedCluster struct {
+	t       *testing.T
+	c       *cluster.Coordinator
+	exec    *cluster.Executor
+	addr    string
+	stopL   func() error
+	workers []*cluster.Worker
+	done    []chan error
+}
+
+func newInjectedCluster(t *testing.T, n int, sched *Schedule, fc cluster.FaultConfig) *injectedCluster {
 	t.Helper()
-	c := cluster.NewCoordinatorWith(fastFaults())
+	c := cluster.NewCoordinatorWith(fc)
+	exec, err := cluster.NewExecutor(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go c.Serve(l) //nolint:errcheck // returns when the listener closes
-	done := make(chan error, n)
-	workers := make([]*cluster.Worker, n)
-	for i := range workers {
-		workers[i] = &cluster.Worker{
+	ic := &injectedCluster{t: t, c: c, exec: exec, addr: l.Addr().String(), stopL: l.Close}
+	for i := 0; i < n; i++ {
+		ic.workers = append(ic.workers, &cluster.Worker{
 			ID:             fmt.Sprintf("worker-%d", i),
 			HeartbeatEvery: 50 * time.Millisecond,
+		})
+	}
+	sched.WrapAll(ic.workers)
+	return ic
+}
+
+// start connects worker i.
+func (ic *injectedCluster) start(i int) {
+	done := make(chan error, 1)
+	ic.done = append(ic.done, done)
+	w := ic.workers[i]
+	go func() { done <- w.Run(ic.addr) }()
+}
+
+// startAll connects every worker.
+func (ic *injectedCluster) startAll() {
+	for i := range ic.workers {
+		ic.start(i)
+	}
+}
+
+// wait blocks until the k-th started worker's Run returns.
+func (ic *injectedCluster) wait(k int) {
+	ic.t.Helper()
+	select {
+	case err := <-ic.done[k]:
+		if err != nil {
+			ic.t.Errorf("worker exit: %v", err)
+		}
+		ic.done[k] = nil
+	case <-time.After(10 * time.Second):
+		ic.t.Error("worker did not exit")
+	}
+}
+
+// stop shuts the coordinator down and waits for every running worker.
+func (ic *injectedCluster) stop() {
+	ic.c.Shutdown()
+	for k, d := range ic.done {
+		if d != nil {
+			ic.wait(k)
 		}
 	}
-	sched.WrapAll(workers)
-	for _, w := range workers {
-		w := w
-		go func() { done <- w.Run(l.Addr().String()) }()
+	ic.stopL()
+}
+
+// search runs a seeded nt3 search through the cluster's Executor.
+func (ic *injectedCluster) search(matcher core.Matcher, budget, workers int, seed int64, n, s int) (*trace.Trace, error) {
+	app, err := apps.New("nt3", 1, apps.Config{Data: data.Config{TrainN: 32, ValN: 16}})
+	if err != nil {
+		return nil, err
 	}
-	stop := func() {
-		c.Shutdown()
-		for i := 0; i < n; i++ {
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Errorf("worker exit: %v", err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Error("worker did not shut down")
-			}
-		}
-		l.Close()
-	}
-	return c, stop
+	return nas.Run(context.Background(), nas.Config{
+		App:      app,
+		Strategy: evo.NewRegularizedEvolution(app.Space, n, s),
+		Matcher:  matcher,
+		Budget:   budget,
+		Workers:  workers,
+		Seed:     seed,
+		Executor: ic.exec,
+	})
 }
 
 // TestSearchSurvivesWorkerCrashes is the headline resilience scenario: 4
 // workers, a seeded schedule kills 2 of them mid-search, and the distributed
 // run still completes its full budget with every candidate scored — the
 // crashed workers' in-flight tasks are detected via missed heartbeats,
-// requeued, and re-executed on the healthy survivors.
+// requeued, and re-executed on the healthy survivors. The crashing workers
+// connect first and the healthy ones only after both have died, so both
+// crashes happen whatever the budget and however fast the survivors are.
 func TestSearchSurvivesWorkerCrashes(t *testing.T) {
 	prevEnabled := obs.SetEnabled(true)
 	defer obs.SetEnabled(prevEnabled)
 	before := obs.Take()
 
 	sched := NewSchedule(11, 4, Options{CrashWorkers: 2, MaxCrashTask: 2})
-	crashes := 0
-	for _, p := range sched.Plans {
+	var crashing, healthy []int
+	for i, p := range sched.Plans {
 		if p.CrashAtTask > 0 {
-			crashes++
+			crashing = append(crashing, i)
+		} else {
+			healthy = append(healthy, i)
 		}
 	}
-	if crashes != 2 {
-		t.Fatalf("schedule crashes %d workers, want 2", crashes)
+	if len(crashing) != 2 {
+		t.Fatalf("schedule crashes %d workers, want 2", len(crashing))
 	}
 
-	c, stop := startInjectedCluster(t, 4, sched)
-	defer stop()
-	tr, err := cluster.RunDistributed(c, cluster.DistConfig{
-		App: "nt3", DataSeed: 1, TrainN: 32, ValN: 16,
-		Matcher: "LCS", Budget: 8, Outstanding: 4, Seed: 3, N: 3, S: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
+	ic := newInjectedCluster(t, 4, sched, fastFaults())
+	defer ic.stop()
+	type outcome struct {
+		tr  *trace.Trace
+		err error
 	}
+	searched := make(chan outcome, 1)
+	go func() {
+		tr, err := ic.search(core.LCS{}, 8, 4, 3, 3, 2)
+		searched <- outcome{tr, err}
+	}()
+	for k, i := range crashing {
+		ic.start(i)
+		ic.wait(k)
+	}
+	for _, i := range healthy {
+		ic.start(i)
+	}
+	out := <-searched
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	tr := out.tr
 	if len(tr.Records) != 8 {
 		t.Fatalf("records = %d, want the full budget of 8", len(tr.Records))
 	}
@@ -127,12 +205,10 @@ func TestInjectedTaskFailuresAreRetried(t *testing.T) {
 	// Every 3rd task on each worker errors; MaxAttempts 3 means the retry
 	// (on any worker) almost surely lands off the failing index.
 	sched := &Schedule{Plans: []Plan{{FailEvery: 3}, {FailEvery: 3}}}
-	c, stop := startInjectedCluster(t, 2, sched)
-	defer stop()
-	tr, err := cluster.RunDistributed(c, cluster.DistConfig{
-		App: "nt3", DataSeed: 1, TrainN: 32, ValN: 16,
-		Budget: 6, Outstanding: 2, Seed: 7, N: 3, S: 2,
-	})
+	ic := newInjectedCluster(t, 2, sched, fastFaults())
+	defer ic.stop()
+	ic.startAll()
+	tr, err := ic.search(nil, 6, 2, 7, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,38 +227,14 @@ func TestInjectedTaskFailuresAreRetried(t *testing.T) {
 // TestDroppedResultsAreReclaimed loses results in transit; the coordinator's
 // heartbeat/deadline machinery must re-run the task rather than hang.
 func TestDroppedResultsAreReclaimed(t *testing.T) {
-	// One worker drops its first result (evaluation runs, Submit skipped);
+	// One worker drops its second result (evaluation runs, Submit skipped);
 	// the task deadline reclaims the candidate and retries it.
 	cfg := fastFaults()
 	cfg.TaskDeadline = 400 * time.Millisecond
-	c := cluster.NewCoordinatorWith(cfg)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go c.Serve(l) //nolint:errcheck
-
-	w := &cluster.Worker{ID: "dropper", HeartbeatEvery: 50 * time.Millisecond}
-	Wrap(w, Plan{DropEvery: 2})
-	done := make(chan error, 1)
-	go func() { done <- w.Run(l.Addr().String()) }()
-	defer func() {
-		c.Shutdown()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Errorf("worker exit: %v", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Error("worker did not shut down")
-		}
-	}()
-
-	tr, err := cluster.RunDistributed(c, cluster.DistConfig{
-		App: "nt3", DataSeed: 1, TrainN: 32, ValN: 16,
-		Budget: 4, Outstanding: 1, Seed: 9, N: 2, S: 2,
-	})
+	ic := newInjectedCluster(t, 1, &Schedule{Plans: []Plan{{DropEvery: 2}}}, cfg)
+	defer ic.stop()
+	ic.startAll()
+	tr, err := ic.search(nil, 4, 1, 9, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 //
 //   - Simulate (this file): the base engine — FCFS dispatch to free GPUs,
 //     serialized scheduler latency, a shared-FS model for checkpoint I/O.
-//     internal/cluster re-exports it unchanged for the Table II presets.
+//     NodeTypeA and NodeTypeB are the paper's Table II machines.
 //   - SimulateFleet (fleet.go): the base engine plus an intra-node core
 //     model (SWTNAS_WORKERS-aware kernel-parallel speedup), an analytic
 //     heartbeat-monitor load on the coordinator, straggler injection, and
@@ -257,3 +257,20 @@ func maxDur(a, b time.Duration) time.Duration {
 	}
 	return b
 }
+
+// NodeType mirrors the paper's Table II hardware rows, the machines the
+// simulator's GPU counts stand for.
+type NodeType struct {
+	Name     string
+	CPU      string
+	RAMGB    int
+	GPUs     int
+	GPUModel string
+	GPUMemGB int
+}
+
+// The paper's two cluster node types (Table II).
+var (
+	NodeTypeA = NodeType{Name: "A", CPU: "4x AMD EPYC 7742", RAMGB: 1024, GPUs: 8, GPUModel: "NVIDIA Ampere A100", GPUMemGB: 40}
+	NodeTypeB = NodeType{Name: "B", CPU: "Intel Xeon E5-2620 v3", RAMGB: 384, GPUs: 2, GPUModel: "NVIDIA Tesla K80", GPUMemGB: 12}
+)
